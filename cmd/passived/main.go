@@ -506,7 +506,9 @@ func pagedRows(inv *servdisc.Inventory, limitStr, page string) ([]row, string, e
 		}
 		after, haveAfter = k, true
 	}
-	rows := make([]row, 0, limit)
+	// Size by the inventory, not the client's limit: a huge limit must
+	// not become a huge allocation.
+	rows := make([]row, 0, min(limit, inv.Len()))
 	next := ""
 	for _, key := range inv.Keys() {
 		if haveAfter && !after.Before(key) {

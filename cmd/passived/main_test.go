@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -134,6 +135,28 @@ func TestFlightEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("flight dump missing %q event:\n%s", want, body)
 		}
+	}
+}
+
+// TestServicesHugeLimit asks /services for a page limit far beyond any
+// inventory: the daemon must answer with the whole (small) inventory as a
+// normal page rather than size an allocation by the client's number.
+func TestServicesHugeLimit(t *testing.T) {
+	srv, pl := newTestServer(t)
+	code, body := get(t, srv.URL+"/services?limit=1099511627776")
+	if code != 200 {
+		t.Fatalf("GET /services?limit=2^40: status %d: %s", code, body)
+	}
+	var page struct {
+		Services []json.RawMessage `json:"services"`
+		Next     string            `json:"next_page_token"`
+	}
+	if err := json.Unmarshal([]byte(body), &page); err != nil {
+		t.Fatalf("decode page: %v\n%s", err, body)
+	}
+	if want := pl.Snapshot().Len(); len(page.Services) != want || page.Next != "" {
+		t.Errorf("page holds %d services (next %q), want all %d and no next token",
+			len(page.Services), page.Next, want)
 	}
 }
 

@@ -4,13 +4,15 @@
 // (Section 3.2): capture TCP SYN / SYN-ACK / RST packets plus all UDP
 // traffic at the monitored peerings.
 //
-// A Monitor receives border traffic in batches (the pipeline.BatchSink
-// contract) from the traffic generator or a replayed pcap trace, assigns
-// each packet to a peering link, and forwards per-link sub-batches through
-// each monitored link's tap — filter first, then sampler — to the tap's
-// sink (typically a core discoverer, or a trace recorder). Tap and Monitor
-// counters are backed by the pipeline's atomic stage counters, so a stats
-// endpoint may read them while another goroutine ingests.
+// Every component here speaks pipeline.BatchSink, the system's only
+// ingest contract. A Monitor receives border traffic in batches from the
+// traffic generator or a replayed pcap trace, assigns each packet to a
+// peering link, and forwards per-link sub-batches through each monitored
+// link's tap — filter first, then sampler — to the tap's sink (typically a
+// core discoverer, or a trace recorder). Replay decodes a pcap trace into
+// batches for any sink; Recorder writes batches back out as pcap. Tap and
+// Monitor counters are backed by the pipeline's atomic stage counters, so
+// a stats endpoint may read them while another goroutine ingests.
 package capture
 
 import (
@@ -26,22 +28,6 @@ import (
 // PaperFilter is the collection filter of the paper's infrastructure:
 // TCP connection-control packets and all UDP.
 const PaperFilter = "syn or synack or rst or udp"
-
-// Sink is the legacy per-packet consumer contract, kept for single-packet
-// consumers; batch flow uses pipeline.BatchSink. Bridge one into batch
-// flow with pipeline.Adapt.
-type Sink interface {
-	HandlePacket(p *packet.Packet)
-}
-
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(p *packet.Packet)
-
-// HandlePacket implements Sink.
-func (f SinkFunc) HandlePacket(p *packet.Packet) { f(p) }
-
-// BatchSink is the batched consumer contract (alias of the pipeline's).
-type BatchSink = pipeline.BatchSink
 
 // LinkID identifies a peering link.
 type LinkID uint8
@@ -127,10 +113,8 @@ type Tap struct {
 	counters pipeline.StageCounters
 	matched  atomic.Int64
 
-	// scratch holds the kept sub-batch between filter and delivery;
-	// single is the reusable one-packet buffer of the legacy path.
+	// scratch holds the kept sub-batch between filter and delivery.
 	scratch []packet.Packet
-	single  []packet.Packet
 }
 
 // NewTap builds a tap. filterExpr may be empty (capture everything);
@@ -208,13 +192,6 @@ func (t *Tap) HandleBatch(batch []packet.Packet) {
 	}
 }
 
-// HandlePacket runs a single packet through the tap — the legacy
-// per-packet path, equivalent to a one-packet batch.
-func (t *Tap) HandlePacket(p *packet.Packet) {
-	t.single = append(t.single[:0], *p)
-	t.HandleBatch(t.single)
-}
-
 // Monitor composes the assigner with per-link taps. Unmonitored links drop
 // their traffic — exactly how the paper's study misses Internet2 flows in
 // the semester datasets.
@@ -228,10 +205,8 @@ type Monitor struct {
 	counters pipeline.StageCounters
 
 	// monitored collects the packets that had a tap, in arrival order,
-	// for the mirrors (only populated when mirrors are registered);
-	// single is the reusable one-packet buffer of the legacy path.
+	// for the mirrors (only populated when mirrors are registered).
 	monitored []packet.Packet
-	single    []packet.Packet
 }
 
 // AddMirror registers a sink that receives every packet arriving on any
@@ -268,8 +243,8 @@ func (m *Monitor) Counters() *pipeline.StageCounters { return &m.counters }
 // its tap as a sub-slice (no copying), then mirror the monitored traffic.
 // Delivering runs in arrival order — rather than one fully-partitioned
 // sub-batch per link — keeps the global packet order intact for sinks
-// shared by several taps (the experiments' merged discoverer), so batched
-// ingest observes exactly what per-packet ingest would.
+// shared by several taps (the experiments' merged discoverer), so the
+// shared sink sees the same packet order whatever the batch size.
 func (m *Monitor) HandleBatch(batch []packet.Packet) {
 	m.counters.AddIn(len(batch))
 	mirror := len(m.mirrors) > 0
@@ -311,15 +286,7 @@ func (m *Monitor) HandleBatch(batch []packet.Packet) {
 	}
 }
 
-// HandlePacket implements the legacy per-packet Sink contract.
-func (m *Monitor) HandlePacket(p *packet.Packet) {
-	m.single = append(m.single[:0], *p)
-	m.HandleBatch(m.single)
-}
-
 var (
 	_ pipeline.BatchSink = (*Tap)(nil)
 	_ pipeline.BatchSink = (*Monitor)(nil)
-	_ Sink               = (*Tap)(nil)
-	_ Sink               = (*Monitor)(nil)
 )

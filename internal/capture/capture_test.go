@@ -34,6 +34,22 @@ func (c *collectSink) HandleBatch(batch []packet.Packet) {
 	c.pkts = append(c.pkts, batch...)
 }
 
+// feed delivers pkts to sink as one batch.
+func feed(sink pipeline.BatchSink, pkts ...*packet.Packet) {
+	batch := make([]packet.Packet, len(pkts))
+	for i, p := range pkts {
+		batch[i] = *p
+	}
+	sink.HandleBatch(batch)
+}
+
+// feedSized delivers pkts to sink in consecutive batches of size packets.
+func feedSized(sink pipeline.BatchSink, pkts []packet.Packet, size int) {
+	for lo := 0; lo < len(pkts); lo += size {
+		sink.HandleBatch(pkts[lo:min(lo+size, len(pkts))])
+	}
+}
+
 func TestAssignerRouting(t *testing.T) {
 	a := NewAssigner(campusPfx, []netaddr.V4{academic})
 	if got := a.Route(synAckTo(academic, tRef)); got != LinkInternet2 {
@@ -70,10 +86,9 @@ func TestTapFilterAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SYN-ACK passes; a bare ACK does not.
-	tap.HandlePacket(synAckTo(client, tRef))
 	ack := bld.TCPPacket(tRef, packet.Endpoint{Addr: server, Port: 80},
 		packet.Endpoint{Addr: client, Port: 40000}, packet.FlagACK, 1, 2, nil)
-	tap.HandlePacket(ack)
+	feed(tap, synAckTo(client, tRef), ack)
 	if len(sink.pkts) != 1 {
 		t.Fatalf("delivered %d packets", len(sink.pkts))
 	}
@@ -86,49 +101,47 @@ func TestTapFilterAndCounts(t *testing.T) {
 }
 
 func TestTapHandleBatchMatchesPerPacket(t *testing.T) {
-	mkBatch := func() []packet.Packet {
-		var batch []packet.Packet
-		for i := 0; i < 40; i++ {
-			p := synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*time.Second))
-			if i%4 == 3 { // every fourth packet is a non-matching ACK
-				p = bld.TCPPacket(p.Timestamp, packet.Endpoint{Addr: server, Port: 80},
-					packet.Endpoint{Addr: client, Port: 40000}, packet.FlagACK, 1, 2, nil)
-			}
-			batch = append(batch, *p)
+	// Three full default batches and a partial one; every fourth packet is
+	// a non-matching ACK and the sampler cuts the trace into windows, so
+	// both the all-kept fast path and the compacting slow path run.
+	var pkts []packet.Packet
+	for i := 0; i < 3*pipeline.DefaultBatchSize+10; i++ {
+		p := synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*10*time.Second))
+		if i%4 == 3 {
+			p = bld.TCPPacket(p.Timestamp, packet.Endpoint{Addr: server, Port: 80},
+				packet.Endpoint{Addr: client, Port: 40000}, packet.FlagACK, 1, 2, nil)
 		}
-		return batch
+		pkts = append(pkts, *p)
 	}
-
-	batchSink := &collectSink{}
-	batchTap, err := NewTap(LinkCommercial1, PaperFilter, NewFixedWindowSampler(tRef, 30*time.Minute), batchSink)
-	if err != nil {
-		t.Fatal(err)
+	run := func(size int) (*collectSink, *Tap) {
+		sink := &collectSink{}
+		tap, err := NewTap(LinkCommercial1, PaperFilter, NewFixedWindowSampler(tRef, 30*time.Minute), sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedSized(tap, pkts, size)
+		return sink, tap
 	}
-	batchTap.HandleBatch(mkBatch())
-
-	pktSink := &collectSink{}
-	pktTap, err := NewTap(LinkCommercial1, PaperFilter, NewFixedWindowSampler(tRef, 30*time.Minute), pktSink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := mkBatch()
-	for i := range batch {
-		pktTap.HandlePacket(&batch[i])
-	}
+	batchSink, batchTap := run(pipeline.DefaultBatchSize)
+	pktSink, pktTap := run(1)
 
 	if len(batchSink.pkts) != len(pktSink.pkts) {
-		t.Fatalf("batch path delivered %d, per-packet path %d", len(batchSink.pkts), len(pktSink.pkts))
+		t.Fatalf("%d-packet batches delivered %d, one-packet batches %d",
+			pipeline.DefaultBatchSize, len(batchSink.pkts), len(pktSink.pkts))
 	}
 	for i := range batchSink.pkts {
 		if batchSink.pkts[i].IPv4.Dst != pktSink.pkts[i].IPv4.Dst {
-			t.Fatalf("packet %d differs between paths", i)
+			t.Fatalf("packet %d differs between batch sizes", i)
 		}
 	}
 	if batchTap.Seen() != pktTap.Seen() || batchTap.Matched() != pktTap.Matched() ||
 		batchTap.Delivered() != pktTap.Delivered() {
-		t.Errorf("counter mismatch: batch %d/%d/%d vs per-packet %d/%d/%d",
+		t.Errorf("counter mismatch: batched %d/%d/%d vs one-packet %d/%d/%d",
 			batchTap.Seen(), batchTap.Matched(), batchTap.Delivered(),
 			pktTap.Seen(), pktTap.Matched(), pktTap.Delivered())
+	}
+	if d := batchTap.Delivered(); d == 0 || d == batchTap.Matched() {
+		t.Errorf("delivered %d of %d matched: want the sampler to keep some, not all", d, batchTap.Matched())
 	}
 }
 
@@ -140,7 +153,7 @@ func TestMonitorDropsUnmonitoredLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMonitor(a, tapC1)
-	m.HandlePacket(synAckTo(academic, tRef)) // I2: unmonitored
+	feed(m, synAckTo(academic, tRef)) // I2: unmonitored
 	if m.Dropped() != 1 || delivered != 0 {
 		t.Errorf("dropped=%d delivered=%d", m.Dropped(), delivered)
 	}
@@ -148,7 +161,7 @@ func TestMonitorDropsUnmonitoredLink(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c := client + netaddr.V4(i)
 		if a.Route(synAckTo(c, tRef)) == LinkCommercial1 {
-			m.HandlePacket(synAckTo(c, tRef))
+			feed(m, synAckTo(c, tRef))
 			break
 		}
 	}
@@ -199,20 +212,12 @@ func TestMonitorSharedSinkPreservesOrder(t *testing.T) {
 	// When one sink is behind several taps (the experiments' merged
 	// discoverer), batched delivery must preserve global arrival order
 	// even for batches interleaving links — otherwise FirstSeen and the
-	// activity trail diverge from a per-packet run.
-	a := NewAssigner(campusPfx, nil)
-	shared := &collectSink{}
-	tap1, err := NewTap(LinkCommercial1, "", nil, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tap2, err := NewTap(LinkCommercial2, "", nil, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMonitor(a, tap1, tap2)
+	// activity trail would depend on the batch size. One-packet batches
+	// and default-sized ones must deliver the same stream.
+	a := NewAssigner(campusPfx, []netaddr.V4{academic})
 
-	// Find clients on different links, then interleave them.
+	// Find clients on different links, then interleave them with an
+	// unmonitored academic peer.
 	var c1, c2 netaddr.V4
 	for i := 0; i < 200 && (c1 == 0 || c2 == 0); i++ {
 		c := client + netaddr.V4(i)
@@ -227,31 +232,52 @@ func TestMonitorSharedSinkPreservesOrder(t *testing.T) {
 	if c1 == 0 || c2 == 0 {
 		t.Fatal("could not find clients on both links")
 	}
-	var batch []packet.Packet
-	for i := 0; i < 20; i++ {
-		dst := c1
-		if i%2 == 1 {
-			dst = c2
+	var pkts, want []packet.Packet
+	for i := 0; i < 3*pipeline.DefaultBatchSize+5; i++ {
+		dst := [...]netaddr.V4{c1, c2, c2, academic}[i%4]
+		pkts = append(pkts, *synAckTo(dst, tRef.Add(time.Duration(i)*time.Second)))
+		if dst != academic {
+			want = append(want, pkts[i])
 		}
-		batch = append(batch, *synAckTo(dst, tRef.Add(time.Duration(i)*time.Second)))
 	}
-	m.HandleBatch(batch)
-	if len(shared.pkts) != 20 {
-		t.Fatalf("shared sink got %d packets", len(shared.pkts))
+
+	run := func(size int) (*collectSink, *Monitor) {
+		shared := &collectSink{}
+		tap1, err := NewTap(LinkCommercial1, "", nil, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap2, err := NewTap(LinkCommercial2, "", nil, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMonitor(a, tap1, tap2)
+		feedSized(m, pkts, size)
+		return shared, m
 	}
-	for i := range shared.pkts {
-		if !shared.pkts[i].Timestamp.Equal(batch[i].Timestamp) {
-			t.Fatalf("packet %d out of order: %v", i, shared.pkts[i].Timestamp)
+	for _, size := range []int{1, pipeline.DefaultBatchSize} {
+		shared, m := run(size)
+		if len(shared.pkts) != len(want) {
+			t.Fatalf("size %d: shared sink got %d packets, want %d", size, len(shared.pkts), len(want))
+		}
+		for i := range shared.pkts {
+			if !shared.pkts[i].Timestamp.Equal(want[i].Timestamp) {
+				t.Fatalf("size %d: packet %d out of order: %v", size, i, shared.pkts[i].Timestamp)
+			}
+		}
+		c := m.Counters()
+		if c.In() != len(pkts) || c.Out() != len(want) || c.Dropped() != len(pkts)-len(want) {
+			t.Errorf("size %d: monitor counters = %d/%d/%d", size, c.In(), c.Out(), c.Dropped())
 		}
 	}
 }
 
-func TestReplayBatchedCancel(t *testing.T) {
+func TestReplayCancel(t *testing.T) {
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf, trace.LinkTypeRaw, 128)
 	rec := NewRecorder(w)
 	for i := 0; i < 10; i++ {
-		rec.HandlePacket(synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*time.Second)))
+		feed(rec, synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*time.Second)))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -262,7 +288,7 @@ func TestReplayBatchedCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	n, err := ReplayBatched(ctx, r, &collectSink{}, 4)
+	n, err := Replay(ctx, r, &collectSink{}, 4)
 	if err == nil || n != 0 {
 		t.Fatalf("cancelled replay delivered %d packets, err=%v", n, err)
 	}
@@ -360,7 +386,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := &collectSink{}
-	n, err := ReplayBatched(context.Background(), r, replayed, 4)
+	n, err := Replay(context.Background(), r, replayed, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,59 +401,9 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplayLegacySink(t *testing.T) {
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf, trace.LinkTypeRaw, 128)
-	rec := NewRecorder(w)
-	for i := 0; i < 5; i++ {
-		rec.HandlePacket(synAckTo(client+netaddr.V4(i), tRef.Add(time.Duration(i)*time.Second)))
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := trace.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayed []*packet.Packet
-	n, err := Replay(r, SinkFunc(func(p *packet.Packet) { replayed = append(replayed, p) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 || len(replayed) != 5 {
-		t.Fatalf("replayed %d packets", n)
-	}
-}
-
-func TestTee(t *testing.T) {
-	a, b := 0, 0
-	tee := Tee{
-		pipeline.BatchFunc(func(batch []packet.Packet) { a += len(batch) }),
-		pipeline.BatchFunc(func(batch []packet.Packet) { b += len(batch) }),
-	}
-	one := [1]packet.Packet{*synAckTo(client, tRef)}
-	tee.HandleBatch(one[:])
-	if a != 1 || b != 1 {
-		t.Errorf("tee delivered %d/%d", a, b)
-	}
-}
-
 func TestNewTapBadFilter(t *testing.T) {
 	if _, err := NewTap(LinkCommercial1, "bogus expr ((", nil, nil); err == nil {
 		t.Error("bad filter accepted")
-	}
-}
-
-func BenchmarkMonitorHandlePacket(b *testing.B) {
-	a := NewAssigner(campusPfx, nil)
-	sink := pipeline.BatchFunc(func([]packet.Packet) {})
-	tap1, _ := NewTap(LinkCommercial1, PaperFilter, nil, sink)
-	tap2, _ := NewTap(LinkCommercial2, PaperFilter, nil, sink)
-	m := NewMonitor(a, tap1, tap2)
-	p := synAckTo(client, tRef)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.HandlePacket(p)
 	}
 }
 

@@ -41,27 +41,17 @@ func (r *Recorder) HandleBatch(batch []packet.Packet) {
 	}
 }
 
-// HandlePacket implements the legacy per-packet Sink contract.
-func (r *Recorder) HandlePacket(p *packet.Packet) {
-	one := [1]packet.Packet{*p}
-	r.HandleBatch(one[:])
-}
-
 // Err reports the first write failure, if any.
 func (r *Recorder) Err() error { return r.err }
 
-// Tee fans a batch out to several sinks (alias of pipeline.Fanout, kept
-// under the name capture code has always used).
-type Tee = pipeline.Fanout
-
-// ReplayBatched streams a pcap reader into a batch sink, decoding each
+// Replay streams a pcap reader into a batch sink, decoding each
 // record with the appropriate link offset and delivering batches of up to
 // batchSize packets (pipeline.DefaultBatchSize if batchSize <= 0). It
 // returns the number of packets delivered and the first decode or read
 // error that is not clean EOF. Cancelling ctx stops the replay at the
 // next batch boundary and returns the context's error; packets delivered
 // up to that point form an exact prefix of the trace.
-func ReplayBatched(ctx context.Context, r *trace.Reader, sink pipeline.BatchSink, batchSize int) (int, error) {
+func Replay(ctx context.Context, r *trace.Reader, sink pipeline.BatchSink, batchSize int) (int, error) {
 	if batchSize <= 0 {
 		batchSize = pipeline.DefaultBatchSize
 	}
@@ -106,13 +96,4 @@ func ReplayBatched(ctx context.Context, r *trace.Reader, sink pipeline.BatchSink
 	}
 }
 
-// Replay streams a pcap reader into a legacy per-packet sink. New code
-// should use ReplayBatched.
-func Replay(r *trace.Reader, sink Sink) (int, error) {
-	return ReplayBatched(context.Background(), r, pipeline.Adapt(sink), 0)
-}
-
-var (
-	_ pipeline.BatchSink = (*Recorder)(nil)
-	_ Sink               = (*Recorder)(nil)
-)
+var _ pipeline.BatchSink = (*Recorder)(nil)

@@ -6,6 +6,7 @@ import (
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/pipeline"
 	"servdisc/internal/probe"
 )
 
@@ -24,11 +25,20 @@ func synAck(at time.Time, from netaddr.V4, port uint16, to netaddr.V4) *packet.P
 	return bld.SynAck(at, packet.Endpoint{Addr: from, Port: port}, packet.Endpoint{Addr: to, Port: 40000}, 1, 2)
 }
 
+// feed delivers pkts to sink as one batch.
+func feed(sink pipeline.BatchSink, pkts ...*packet.Packet) {
+	batch := make([]packet.Packet, len(pkts))
+	for i, p := range pkts {
+		batch[i] = *p
+	}
+	sink.HandleBatch(batch)
+}
+
 func TestPassiveTCPDiscovery(t *testing.T) {
 	d := NewPassiveDiscoverer(campusPfx, nil)
-	d.HandlePacket(synAck(t0, srv, 80, cli))
-	d.HandlePacket(synAck(t0.Add(time.Minute), srv, 80, cli2))
-	d.HandlePacket(synAck(t0.Add(2*time.Minute), srv, 80, cli)) // repeat client
+	feed(d, synAck(t0, srv, 80, cli))
+	feed(d, synAck(t0.Add(time.Minute), srv, 80, cli2))
+	feed(d, synAck(t0.Add(2*time.Minute), srv, 80, cli)) // repeat client
 
 	key := ServiceKey{Addr: srv, Proto: packet.ProtoTCP, Port: 80}
 	rec, ok := d.Record(key)
@@ -50,7 +60,7 @@ func TestPassiveIgnoresExternalSynAck(t *testing.T) {
 	d := NewPassiveDiscoverer(campusPfx, nil)
 	// An external server accepting an outbound campus connection is not a
 	// campus service.
-	d.HandlePacket(synAck(t0, cli, 80, srv))
+	feed(d, synAck(t0, cli, 80, srv))
 	if len(d.Services()) != 0 {
 		t.Error("external SYN-ACK treated as campus service")
 	}
@@ -59,11 +69,11 @@ func TestPassiveIgnoresExternalSynAck(t *testing.T) {
 func TestPassiveUDPDiscovery(t *testing.T) {
 	d := NewPassiveDiscoverer(campusPfx, []uint16{53, 137})
 	// Reply from campus DNS port: evidence.
-	d.HandlePacket(bld.UDPPacket(t0, packet.Endpoint{Addr: srv, Port: 53}, packet.Endpoint{Addr: cli, Port: 9999}, []byte("r")))
+	feed(d, bld.UDPPacket(t0, packet.Endpoint{Addr: srv, Port: 53}, packet.Endpoint{Addr: cli, Port: 9999}, []byte("r")))
 	// Campus traffic from a non-well-known port: no evidence.
-	d.HandlePacket(bld.UDPPacket(t0, packet.Endpoint{Addr: srv, Port: 8000}, packet.Endpoint{Addr: cli, Port: 9999}, []byte("r")))
+	feed(d, bld.UDPPacket(t0, packet.Endpoint{Addr: srv, Port: 8000}, packet.Endpoint{Addr: cli, Port: 9999}, []byte("r")))
 	// Inbound query TO port 53: no evidence either (request, not service proof).
-	d.HandlePacket(bld.UDPPacket(t0, packet.Endpoint{Addr: cli, Port: 9999}, packet.Endpoint{Addr: srv2, Port: 53}, []byte("q")))
+	feed(d, bld.UDPPacket(t0, packet.Endpoint{Addr: cli, Port: 9999}, packet.Endpoint{Addr: srv2, Port: 53}, []byte("q")))
 
 	if len(d.Services()) != 1 {
 		t.Fatalf("services = %d", len(d.Services()))
@@ -78,15 +88,15 @@ func TestScanDetectorThresholds(t *testing.T) {
 	// Scanner touches 150 addresses and gets 120 RSTs: detected.
 	for i := 0; i < 150; i++ {
 		dst := srv + netaddr.V4(i)
-		d.HandlePacket(bld.Syn(t0.Add(time.Duration(i)*time.Second), packet.Endpoint{Addr: scanner, Port: 40000}, packet.Endpoint{Addr: dst, Port: 80}, 1))
+		feed(d, bld.Syn(t0.Add(time.Duration(i)*time.Second), packet.Endpoint{Addr: scanner, Port: 40000}, packet.Endpoint{Addr: dst, Port: 80}, 1))
 		if i < 120 {
-			d.HandlePacket(bld.Rst(t0.Add(time.Duration(i)*time.Second+time.Millisecond), packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 40000}, 0))
+			feed(d, bld.Rst(t0.Add(time.Duration(i)*time.Second+time.Millisecond), packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 40000}, 0))
 		}
 	}
 	// A busy legitimate client: contacts 150 addresses but few RSTs.
 	for i := 0; i < 150; i++ {
 		dst := srv + netaddr.V4(i)
-		d.HandlePacket(bld.Syn(t0.Add(time.Duration(i)*time.Second), packet.Endpoint{Addr: cli, Port: 40001}, packet.Endpoint{Addr: dst, Port: 80}, 1))
+		feed(d, bld.Syn(t0.Add(time.Duration(i)*time.Second), packet.Endpoint{Addr: cli, Port: 40001}, packet.Endpoint{Addr: dst, Port: 80}, 1))
 	}
 	scanners := d.DetectScanners()
 	if len(scanners) != 1 {
@@ -105,8 +115,8 @@ func TestScanDetectorBelowThreshold(t *testing.T) {
 	// 99 destinations with RSTs: below the 100 threshold.
 	for i := 0; i < 99; i++ {
 		dst := srv + netaddr.V4(i)
-		d.HandlePacket(bld.Syn(t0, packet.Endpoint{Addr: scanner, Port: 1}, packet.Endpoint{Addr: dst, Port: 80}, 1))
-		d.HandlePacket(bld.Rst(t0, packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 1}, 0))
+		feed(d, bld.Syn(t0, packet.Endpoint{Addr: scanner, Port: 1}, packet.Endpoint{Addr: dst, Port: 80}, 1))
+		feed(d, bld.Rst(t0, packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 1}, 0))
 	}
 	if len(d.DetectScanners()) != 0 {
 		t.Error("sub-threshold source detected")
@@ -119,14 +129,14 @@ func TestScanDetectorWindowing(t *testing.T) {
 	// 12-hour window.
 	for i := 0; i < 60; i++ {
 		dst := srv + netaddr.V4(i)
-		d.HandlePacket(bld.Syn(t0, packet.Endpoint{Addr: scanner, Port: 1}, packet.Endpoint{Addr: dst, Port: 80}, 1))
-		d.HandlePacket(bld.Rst(t0, packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 1}, 0))
+		feed(d, bld.Syn(t0, packet.Endpoint{Addr: scanner, Port: 1}, packet.Endpoint{Addr: dst, Port: 80}, 1))
+		feed(d, bld.Rst(t0, packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 1}, 0))
 	}
 	later := t0.Add(24 * time.Hour)
 	for i := 60; i < 120; i++ {
 		dst := srv + netaddr.V4(i)
-		d.HandlePacket(bld.Syn(later, packet.Endpoint{Addr: scanner, Port: 1}, packet.Endpoint{Addr: dst, Port: 80}, 1))
-		d.HandlePacket(bld.Rst(later, packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 1}, 0))
+		feed(d, bld.Syn(later, packet.Endpoint{Addr: scanner, Port: 1}, packet.Endpoint{Addr: dst, Port: 80}, 1))
+		feed(d, bld.Rst(later, packet.Endpoint{Addr: dst, Port: 80}, packet.Endpoint{Addr: scanner, Port: 1}, 0))
 	}
 	if len(d.DetectScanners()) != 0 {
 		t.Error("slow scanner split across windows detected by 12h rule")
@@ -135,9 +145,9 @@ func TestScanDetectorWindowing(t *testing.T) {
 
 func TestFirstSeenExcluding(t *testing.T) {
 	d := NewPassiveDiscoverer(campusPfx, nil)
-	d.HandlePacket(synAck(t0, srv, 80, scanner))                   // scanner found it first
-	d.HandlePacket(synAck(t0.Add(time.Hour), srv, 80, cli))        // real client later
-	d.HandlePacket(synAck(t0.Add(2*time.Hour), srv2, 22, scanner)) // scanner-only server
+	feed(d, synAck(t0, srv, 80, scanner))                   // scanner found it first
+	feed(d, synAck(t0.Add(time.Hour), srv, 80, cli))        // real client later
+	feed(d, synAck(t0.Add(2*time.Hour), srv2, 22, scanner)) // scanner-only server
 
 	excluded := map[netaddr.V4]bool{scanner: true}
 	first := d.AddrFirstSeenExcluding(excluded, nil)
@@ -217,8 +227,8 @@ func TestMixedResponse(t *testing.T) {
 
 func TestCompletenessRowAlgebra(t *testing.T) {
 	p := NewPassiveDiscoverer(campusPfx, nil)
-	p.HandlePacket(synAck(t0.Add(time.Hour), srv, 80, cli))
-	p.HandlePacket(synAck(t0.Add(20*time.Hour), srv2, 22, cli))
+	feed(p, synAck(t0.Add(time.Hour), srv, 80, cli))
+	feed(p, synAck(t0.Add(20*time.Hour), srv2, 22, cli))
 
 	a := NewActiveDiscoverer([]uint16{22, 80})
 	a.AddReport(&probe.ScanReport{
@@ -249,7 +259,7 @@ func TestCompletenessRowAlgebra(t *testing.T) {
 func TestDiscoverySeriesMonotone(t *testing.T) {
 	p := NewPassiveDiscoverer(campusPfx, nil)
 	for i := 0; i < 50; i++ {
-		p.HandlePacket(synAck(t0.Add(time.Duration(i)*time.Hour), srv+netaddr.V4(i), 80, cli))
+		feed(p, synAck(t0.Add(time.Duration(i)*time.Hour), srv+netaddr.V4(i), 80, cli))
 	}
 	an := &Analysis{Passive: p, Active: NewActiveDiscoverer([]uint16{80})}
 	s := an.PassiveSeries(t0, t0.Add(100*time.Hour), nil)
@@ -268,9 +278,9 @@ func TestWeightedSeries(t *testing.T) {
 	p := NewPassiveDiscoverer(campusPfx, nil)
 	// srv: 99 flows; srv2: 1 flow.
 	for i := 0; i < 99; i++ {
-		p.HandlePacket(synAck(t0.Add(time.Duration(i)*time.Minute), srv, 80, cli+netaddr.V4(i)))
+		feed(p, synAck(t0.Add(time.Duration(i)*time.Minute), srv, 80, cli+netaddr.V4(i)))
 	}
-	p.HandlePacket(synAck(t0.Add(10*time.Hour), srv2, 80, cli))
+	feed(p, synAck(t0.Add(10*time.Hour), srv2, 80, cli))
 
 	an := &Analysis{Passive: p, Active: NewActiveDiscoverer([]uint16{80})}
 	s := an.WeightedSeries(an.PassiveAddrs(), WeightFlows, t0, t0.Add(24*time.Hour))
@@ -291,8 +301,8 @@ func TestWeightedSeries(t *testing.T) {
 
 func TestCategorize12h(t *testing.T) {
 	p := NewPassiveDiscoverer(campusPfx, nil)
-	p.HandlePacket(synAck(t0.Add(time.Hour), srv, 80, cli))    // both
-	p.HandlePacket(synAck(t0.Add(2*time.Hour), srv2, 22, cli)) // passive only
+	feed(p, synAck(t0.Add(time.Hour), srv, 80, cli))    // both
+	feed(p, synAck(t0.Add(2*time.Hour), srv2, 22, cli)) // passive only
 
 	a := NewActiveDiscoverer([]uint16{22, 80})
 	a.AddReport(&probe.ScanReport{
@@ -344,7 +354,7 @@ func TestTrait4Labels(t *testing.T) {
 func TestFirewallCandidates(t *testing.T) {
 	p := NewPassiveDiscoverer(campusPfx, nil)
 	// Stealth server: passive traffic, including during the scan window.
-	p.HandlePacket(synAck(t0.Add(30*time.Minute), srv, 80, cli))
+	feed(p, synAck(t0.Add(30*time.Minute), srv, 80, cli))
 	a := NewActiveDiscoverer([]uint16{22, 80})
 	a.AddReport(&probe.ScanReport{
 		ID: 0, Started: t0, Finished: t0.Add(2 * time.Hour),
@@ -368,7 +378,7 @@ func TestFirewallCandidates(t *testing.T) {
 
 func TestUDPSummary(t *testing.T) {
 	p := NewPassiveDiscoverer(campusPfx, []uint16{53, 137})
-	p.HandlePacket(bld.UDPPacket(t0, packet.Endpoint{Addr: srv, Port: 53}, packet.Endpoint{Addr: cli, Port: 999}, []byte("r")))
+	feed(p, bld.UDPPacket(t0, packet.Endpoint{Addr: srv, Port: 53}, packet.Endpoint{Addr: cli, Port: 999}, []byte("r")))
 
 	a := NewActiveDiscoverer(nil)
 	a.AddReport(&probe.ScanReport{
@@ -407,7 +417,7 @@ func TestUDPSummary(t *testing.T) {
 func TestTimeTo(t *testing.T) {
 	p := NewPassiveDiscoverer(campusPfx, nil)
 	for i := 0; i < 100; i++ {
-		p.HandlePacket(synAck(t0.Add(time.Duration(i)*time.Minute), srv+netaddr.V4(i), 80, cli))
+		feed(p, synAck(t0.Add(time.Duration(i)*time.Minute), srv+netaddr.V4(i), 80, cli))
 	}
 	an := &Analysis{Passive: p, Active: NewActiveDiscoverer([]uint16{80})}
 	s := an.PassiveSeries(t0, t0.Add(3*time.Hour), nil)
@@ -417,14 +427,5 @@ func TestTimeTo(t *testing.T) {
 	}
 	if d < 48*time.Minute || d > 52*time.Minute {
 		t.Errorf("TimeTo(50%%) = %v", d)
-	}
-}
-
-func BenchmarkPassiveHandlePacket(b *testing.B) {
-	d := NewPassiveDiscoverer(campusPfx, nil)
-	p := synAck(t0, srv, 80, cli)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.HandlePacket(p)
 	}
 }

@@ -25,7 +25,7 @@ import (
 // interleaving of passive batches and scan reports carrying the same
 // observations — property-tested in hybrid_test.go at 1, 2 and 8 shards.
 //
-// Lifecycle mirrors the pipeline runner: before Run, both HandleBatch and
+// Lifecycle follows ShardedPassive: before Run, both HandleBatch and
 // AddReport apply inline on the caller's goroutine; after Run(ctx),
 // batches go to the shard workers and reports to a dedicated reconciler
 // goroutine, so a live capture loop and a scan scheduler never block each
@@ -131,9 +131,6 @@ func (h *Hybrid) EventCounters() *pipeline.StageCounters { return h.passive.Even
 
 // HandleBatch implements pipeline.BatchSink by feeding the passive side.
 func (h *Hybrid) HandleBatch(batch []packet.Packet) { h.passive.HandleBatch(batch) }
-
-// HandlePacket implements the legacy per-packet Sink contract.
-func (h *Hybrid) HandlePacket(p *packet.Packet) { h.passive.HandlePacket(p) }
 
 // applyReport reconciles one report into the active side and emits the
 // sweep-completion event. Called inline (pre-Run) or from the reconciler

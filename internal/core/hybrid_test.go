@@ -9,6 +9,7 @@ import (
 
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/pipeline"
 	"servdisc/internal/probe"
 	"servdisc/internal/stats"
 )
@@ -96,7 +97,8 @@ func feedHybrid(h *Hybrid, pkts []packet.Packet, reps []*probe.ScanReport, rng *
 // TestHybridDeterministicInterleaving is the acceptance property: the
 // hybrid snapshot must be byte-identical for ANY interleaving of passive
 // batches and scan reports, at shard counts 1, 2 and 8, in both inline and
-// concurrent modes — including reports delivered in reverse sweep order.
+// concurrent modes — including reports delivered in reverse sweep order
+// and the trace cut into one-packet or default-sized batches.
 func TestHybridDeterministicInterleaving(t *testing.T) {
 	campusPfx := netaddr.MustParsePrefix("128.125.0.0/16")
 	udpPorts := []uint16{53, 123, 137}
@@ -152,6 +154,23 @@ func TestHybridDeterministicInterleaving(t *testing.T) {
 				}
 			}
 		})
+		// Fixed batch sizes, concurrent workers.
+		for _, size := range []int{1, pipeline.DefaultBatchSize} {
+			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, size), func(t *testing.T) {
+				h := NewHybrid(campusPfx, udpPorts, shards, tcpPorts)
+				h.Run(context.Background())
+				for lo := 0; lo < len(pkts); lo += size {
+					h.HandleBatch(pkts[lo:min(lo+size, len(pkts))])
+				}
+				for _, rep := range reps {
+					h.AddReport(rep)
+				}
+				h.Close()
+				if got := h.Snapshot().Dump(); !bytes.Equal(want, got) {
+					t.Fatal("snapshot differs from reference")
+				}
+			})
+		}
 	}
 }
 
@@ -237,7 +256,7 @@ func TestPassiveOnlyInventoryProvenance(t *testing.T) {
 	srv := campusPfx.Base() + 7
 	p := bld.SynAck(base, packet.Endpoint{Addr: srv, Port: 443},
 		packet.Endpoint{Addr: netaddr.MustParseV4("64.1.1.1"), Port: 40000}, 1, 1)
-	d.HandlePacket(p)
+	feed(d, p)
 	inv := d.Snapshot()
 	if inv.Hybrid() {
 		t.Fatal("passive snapshot claims to be hybrid")

@@ -9,9 +9,9 @@ import (
 )
 
 // PassiveDiscoverer builds a service inventory from observed border
-// traffic. It implements the capture.Sink contract and is driven entirely
-// by HandlePacket; all accessors may be used at any point during or after
-// collection.
+// traffic. It implements the pipeline.BatchSink contract and is driven
+// entirely by HandleBatch; all accessors may be used at any point during
+// or after collection.
 type PassiveDiscoverer struct {
 	campus netaddr.Prefix
 	// udpPorts are the well-known UDP service ports considered evidence
@@ -105,8 +105,8 @@ func NewPassiveDiscoverer(campus netaddr.Prefix, udpPorts []uint16) *PassiveDisc
 	return d
 }
 
-// HandlePacket implements the legacy per-packet capture.Sink contract.
-func (d *PassiveDiscoverer) HandlePacket(p *packet.Packet) {
+// handlePacket is HandleBatch's per-packet step.
+func (d *PassiveDiscoverer) handlePacket(p *packet.Packet) {
 	d.Packets++
 	switch {
 	case p.Has(packet.LayerTypeTCP):
@@ -120,7 +120,7 @@ func (d *PassiveDiscoverer) HandlePacket(p *packet.Packet) {
 // writer: feed it from one goroutine (or shard it with ShardedPassive).
 func (d *PassiveDiscoverer) HandleBatch(batch []packet.Packet) {
 	for i := range batch {
-		d.HandlePacket(&batch[i])
+		d.handlePacket(&batch[i])
 	}
 }
 

@@ -52,8 +52,7 @@ type EngineMetrics struct {
 // packet — is seeded identically into every shard by the dispatcher
 // (shard-then-merge determinism).
 //
-// Lifecycle mirrors the pipeline runner: before Run, HandleBatch processes
-// sub-batches inline on the caller's goroutine (deterministic, zero
+// Lifecycle: before Run, HandleBatch processes sub-batches inline on the caller's goroutine (deterministic, zero
 // goroutines); after Run(ctx), sub-batches go to per-shard queues drained
 // by worker goroutines that own their shard exclusively. Flush waits for
 // the queues to drain; Close shuts the workers down.
@@ -505,12 +504,6 @@ func (s *ShardedPassive) getBatchBuf(n int) *[]packet.Packet {
 	}
 	buf := make([]packet.Packet, n, max(n, pipeline.DefaultBatchSize))
 	return &buf
-}
-
-// HandlePacket implements the legacy per-packet Sink contract.
-func (s *ShardedPassive) HandlePacket(p *packet.Packet) {
-	one := [1]packet.Packet{*p}
-	s.HandleBatch(one[:])
 }
 
 // Run starts one worker goroutine per shard. The context is an abort

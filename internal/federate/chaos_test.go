@@ -192,7 +192,7 @@ func TestChaosNoResurrection(t *testing.T) {
 	keyOfB := core.ServiceKey{Addr: svcB, Proto: packet.ProtoTCP, Port: 443}
 	ext := netaddr.MustParseV4("64.20.0.1")
 	answer := func(srv netaddr.V4, port uint16, at time.Time) {
-		eng.HandlePacket(bld.SynAck(at, packet.Endpoint{Addr: srv, Port: port},
+		feed(eng, bld.SynAck(at, packet.Endpoint{Addr: srv, Port: port},
 			packet.Endpoint{Addr: ext, Port: 33000}, 9, 8))
 	}
 

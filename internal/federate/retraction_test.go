@@ -13,6 +13,7 @@ import (
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/packet"
+	"servdisc/internal/pipeline"
 )
 
 var (
@@ -154,6 +155,15 @@ func hasLive(a *Aggregator, key core.ServiceKey) bool {
 	return false
 }
 
+// feed delivers pkts to sink as one batch.
+func feed(sink pipeline.BatchSink, pkts ...*packet.Packet) {
+	batch := make([]packet.Packet, len(pkts))
+	for i, p := range pkts {
+		batch[i] = *p
+	}
+	sink.HandleBatch(batch)
+}
+
 // TestReconnectAfterRetractionNoResurrection walks the full lifecycle:
 // a site discovers a service, the aggregator learns it, the service
 // expires (retract frame), and then every flavor of reconnect replay —
@@ -173,7 +183,7 @@ func TestReconnectAfterRetractionNoResurrection(t *testing.T) {
 	keyOfB := core.ServiceKey{Addr: svcB, Proto: packet.ProtoTCP, Port: 443}
 	ext := netaddr.MustParseV4("64.20.0.1")
 	answer := func(srv netaddr.V4, port uint16, at time.Time) {
-		eng.HandlePacket(bld.SynAck(at, packet.Endpoint{Addr: srv, Port: port},
+		feed(eng, bld.SynAck(at, packet.Endpoint{Addr: srv, Port: port},
 			packet.Endpoint{Addr: ext, Port: 33000}, 9, 8))
 	}
 

@@ -21,7 +21,6 @@ import (
 	"servdisc/internal/checkpoint"
 	"servdisc/internal/core"
 	"servdisc/internal/federate"
-	"servdisc/internal/filter"
 	"servdisc/internal/netaddr"
 	"servdisc/internal/obs"
 	"servdisc/internal/packet"
@@ -632,7 +631,7 @@ func (p *Pipeline) Replay(ctx context.Context, r io.Reader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return capture.ReplayBatched(ctx, tr, p.engine, p.batchSize)
+	return capture.Replay(ctx, tr, p.engine, p.batchSize)
 }
 
 // skipSink drops the first n packets of a replayed stream before feeding
@@ -670,7 +669,7 @@ func (p *Pipeline) ResumeReplay(ctx context.Context, r io.Reader, skip int) (int
 	if err != nil {
 		return 0, err
 	}
-	return capture.ReplayBatched(ctx, tr, &skipSink{sink: p.engine, left: skip}, p.batchSize)
+	return capture.Replay(ctx, tr, &skipSink{sink: p.engine, left: skip}, p.batchSize)
 }
 
 // RestoreFromCheckpoint rebuilds the engine from Config.Checkpoint.Dir.
@@ -819,13 +818,11 @@ func Discover(ctx context.Context, r io.Reader, cfg Config) (*Inventory, error) 
 
 	var sink pipeline.BatchSink = sharded
 	if cfg.Filter != "" {
-		f, err := filter.Compile(cfg.Filter)
-		if err != nil {
+		if sink, err = capture.NewTap(capture.LinkCommercial1, cfg.Filter, nil, sharded); err != nil {
 			return nil, err
 		}
-		sink = pipeline.NewPipeline(sharded, pipeline.FilterStage("filter", f.Match))
 	}
-	if _, err := capture.ReplayBatched(ctx, tr, sink, cfg.BatchSize); err != nil {
+	if _, err := capture.Replay(ctx, tr, sink, cfg.BatchSize); err != nil {
 		return nil, err
 	}
 	sharded.Close()

@@ -10,6 +10,7 @@ import (
 	"servdisc/internal/capture"
 	"servdisc/internal/core"
 	"servdisc/internal/netaddr"
+	"servdisc/internal/pipeline"
 	"servdisc/internal/probe"
 	"servdisc/internal/sim"
 	"servdisc/internal/trace"
@@ -111,7 +112,7 @@ func TestSharded18dMatchesSequential(t *testing.T) {
 	sharded := core.NewShardedPassive(pfx, campus.SelectedUDPPorts, 8)
 	sharded.Run(context.Background())
 
-	both := capture.Tee{plain, sharded}
+	both := pipeline.Fanout{plain, sharded}
 	tap1, err := capture.NewTap(capture.LinkCommercial1, capture.PaperFilter, nil, both)
 	if err != nil {
 		t.Fatal(err)
